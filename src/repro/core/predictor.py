@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.assignment import linear_sum_assignment
 from repro.core.estimator import ObjectEstimate
 
 #: HTTP/2 frame header octets.
@@ -239,17 +240,18 @@ class SizePredictor:
         pool: Sequence[str],
     ) -> List[Tuple[ObjectEstimate, Match]]:
         """Min-error bipartite assignment of candidates to estimates."""
-        from scipy.optimize import linear_sum_assignment
-
         if not estimates:
             return []
         big = 1e12
-        cost = np.full((len(pool), len(estimates)), big)
-        for row, object_id in enumerate(pool):
+        cost = []
+        for object_id in pool:
             expected = self._expected[object_id]
-            for col, estimate in enumerate(estimates):
-                if self._within_tolerance(estimate.payload_bytes, expected):
-                    cost[row, col] = abs(estimate.payload_bytes - expected)
+            cost.append([
+                float(abs(estimate.payload_bytes - expected))
+                if self._within_tolerance(estimate.payload_bytes, expected)
+                else big
+                for estimate in estimates
+            ])
         rows, cols = linear_sum_assignment(cost)
         return [
             (estimates[col], Match(
@@ -258,7 +260,7 @@ class SizePredictor:
                 estimates[col].payload_bytes,
             ))
             for row, col in zip(rows, cols)
-            if cost[row, col] < big
+            if cost[row][col] < big
         ]
 
 

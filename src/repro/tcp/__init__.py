@@ -15,8 +15,9 @@ Implements the transport mechanisms the paper's attack manipulates:
 The byte stream is modelled symbolically: applications send *messages*
 (TLS records) whose lengths occupy ranges of the sequence space; no
 payload bytes are materialized.  Segments carry a reference to the
-sender's :class:`~repro.tcp.stream.StreamLayout`, standing in for the
-self-describing byte stream on the wire.
+sender's :class:`~repro.transport.stream.StreamLayout` (the layout type
+every transport shares), standing in for the self-describing byte
+stream on the wire.
 """
 
 from repro.tcp.config import TCPConfig
@@ -26,7 +27,7 @@ from repro.tcp.listener import TCPListener
 from repro.tcp.reassembly import ReassemblyBuffer
 from repro.tcp.rtt import RTOEstimator
 from repro.tcp.segment import TCPSegment
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 __all__ = [
     "RTOEstimator",

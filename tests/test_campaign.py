@@ -11,6 +11,7 @@ The three properties the ISSUE pins down:
 """
 
 import json
+import os
 import random
 
 import pytest
@@ -345,3 +346,14 @@ def test_campaign_full_mode_smoke():
     assert first.summary.sessions == 4
     assert first.summary.sums["duration_us"] > 0
     assert first.summary.counts["serialized"] >= 1
+
+
+def test_campaign_serial_full_fast_leaves_environ_unchanged(monkeypatch):
+    # A serial campaign runs its shards in the caller's process, so the
+    # backend choice must travel as an argument, never through the
+    # caller's environment.
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    before = dict(os.environ)
+    config = CampaignConfig(sessions=2, shard_size=2, seed=7, mode="full")
+    run_campaign(config, workers=1, backend="fast")
+    assert dict(os.environ) == before

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcp.reassembly import ReassemblyBuffer
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 
 class _Msg:

@@ -117,3 +117,36 @@ def test_reset_rewinds(sim):
 def test_run_until_clock_advances_even_without_events(sim):
     sim.run_until(7.0)
     assert sim.now == 7.0
+
+
+def test_compaction_mid_run_keeps_remaining_order(sim):
+    # A callback cancels enough events to trigger EventQueue._compact(),
+    # which rebuilds the heap list while the run loop is draining it;
+    # everything still pending must fire afterwards in time order.
+    compactions = []
+    compact = sim._queue._compact
+
+    def counting_compact():
+        compactions.append(sim.now)
+        compact()
+
+    sim._queue._compact = counting_compact
+    order = []
+    victims = [
+        sim.schedule(0.010, lambda: order.append("victim"))
+        for _ in range(64)
+    ]
+
+    def cancel_storm():
+        order.append("storm")
+        for event in victims:
+            event.cancel()
+        sim.schedule(0.0005, lambda: order.append("interleaved"))
+
+    sim.schedule(0.001, cancel_storm)
+    sim.schedule(0.002, lambda: order.append("late"))
+    sim.schedule(0.020, lambda: order.append("last"))
+    sim.run()
+    assert compactions == [0.001]
+    assert order == ["storm", "interleaved", "late", "last"]
+    assert sim.pending_events == 0

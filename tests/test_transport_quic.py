@@ -1,8 +1,7 @@
 """The pluggable transport layer and the QUIC-like datagram transport.
 
-Covers the registry/env resolution seam, the backward-compatibility
-shim for the relocated :class:`StreamLayout`, reliable delivery of the
-QUIC transport under loss, and the full HTTP/2 stack running over
+Covers the registry/env resolution seam, reliable delivery of the QUIC
+transport under loss, and the full HTTP/2 stack running over
 ``transport="quic"``.
 """
 
@@ -77,14 +76,6 @@ def test_quic_config_adapts_tcp_config():
     assert adapted.max_datagram_payload == 900
     assert adapted.congestion_control == "cubic"
     assert QuicConfig.adapt(None) == QuicConfig()
-
-
-def test_stream_layout_shim_reexports_transport_module():
-    from repro.tcp import stream as tcp_stream
-    from repro.transport import stream as transport_stream
-
-    assert tcp_stream.StreamLayout is transport_stream.StreamLayout
-    assert tcp_stream.MessageSpan is transport_stream.MessageSpan
 
 
 def test_connections_satisfy_transport_protocol():
