@@ -11,13 +11,17 @@ The JSON embeds
   the vectorized ``fast`` backend serially — digest-identical by
   construction (asserted), with ``speedup_fast_vs_python`` gated at
   >= 10x,
+* a ``sealed`` row for the supervised path — sealed checkpoints in a
+  fresh directory, 2 workers, fast backend — with its sessions/sec
+  and the exact number of worker processes it started (asserted equal
+  to the worker count: workers persist across shards),
 * the digest of every run — bit-identical across worker counts and
   backends by construction, and asserted here,
 * peak memory: the process RSS high-water mark (children included) and
   the tracemalloc Python-heap peak of a 2k- vs. a 32k-session serial
   campaign — the pair that demonstrates peak heap is bounded and
   independent of session count (asserted via an absolute ceiling),
-* the host fingerprint (python, cpus, machine).
+* the host fingerprint (python, cpus, machine, cpu model).
 
 Runs two ways:
 
@@ -29,9 +33,11 @@ Runs two ways:
 
 import argparse
 import json
+import multiprocessing.process
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,6 +63,9 @@ FAST_SPEEDUP_FLOOR = 10.0
 #: host actually has at least that many cores — oversubscribed workers
 #: cannot scale and their numbers are recorded but never flagged.
 SCALING_FLOOR = {2: 1.2, 4: 1.8}
+
+#: Worker count of the sealed-checkpoint row.
+SEALED_WORKERS = 2
 
 #: Absolute Python-heap ceiling for the memory-independence check: the
 #: 32k-session probe campaign must peak below this.  Streaming columnar
@@ -84,6 +93,52 @@ def time_campaign(
         "digest": result.digest(),
         "shards": result.shards,
     }
+
+
+def time_sealed_campaign(config: CampaignConfig) -> dict:
+    """The supervised path: sealed checkpoints, 2 workers, fast backend.
+
+    Counts ``BaseProcess.start`` calls during the run — an exact count
+    that does not depend on the host's speed.
+    """
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        return start(process)
+
+    multiprocessing.process.BaseProcess.start = counted
+    try:
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
+            began = time.perf_counter()
+            result = run_campaign(
+                config, workers=SEALED_WORKERS, backend="fast",
+                checkpoint_dir=checkpoint_dir,
+            )
+            wall = time.perf_counter() - began
+    finally:
+        multiprocessing.process.BaseProcess.start = start
+    return {
+        "workers": SEALED_WORKERS,
+        "backend": "fast",
+        "wall_s": round(wall, 3),
+        "sessions_per_sec": round(config.sessions / wall, 1),
+        "processes_started": len(started),
+        "digest": result.digest(),
+    }
+
+
+def cpu_model() -> str:
+    """The CPU model name from ``/proc/cpuinfo`` (Linux), else ''."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
 
 
 def measure_memory(seed: int) -> dict:
@@ -167,12 +222,14 @@ def run_bench(sessions: int) -> dict:
         "throughput": throughput,
         "scaling": scaling,
         "backends": backends,
+        "sealed": time_sealed_campaign(config),
         "memory": measure_memory(seed=11),
         "host": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
+            "cpu_model": cpu_model(),
         },
     }
 
@@ -191,6 +248,12 @@ def render_summary(payload: dict) -> str:
         f"  fast backend {backends['fast']['sessions_per_sec']:>10,.0f}"
         f" sessions/s  ({backends['speedup_fast_vs_python']:.1f}x python,"
         f" digests {'match' if backends['digest_identical'] else 'DIFFER'})"
+    )
+    sealed = payload["sealed"]
+    lines.append(
+        f"  sealed checkpoints, workers={sealed['workers']}, fast"
+        f" {sealed['sessions_per_sec']:>10,.0f} sessions/s"
+        f"  ({sealed['processes_started']} processes started)"
     )
     memory = payload["memory"]
     lines.append(
@@ -221,6 +284,14 @@ def check(payload: dict) -> list:
     if not backends["digest_identical"]:
         failures.append(
             "fast-backend digest differs from the python backend"
+        )
+    sealed = payload["sealed"]
+    if sealed["digest"] != payload["digest"]:
+        failures.append("sealed-checkpoint digest differs from serial")
+    if sealed["processes_started"] != sealed["workers"]:
+        failures.append(
+            f"sealed run started {sealed['processes_started']} processes "
+            f"for {sealed['workers']} workers — workers are not persisting"
         )
     speedup = backends["speedup_fast_vs_python"]
     if speedup < FAST_SPEEDUP_FLOOR:

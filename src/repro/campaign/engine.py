@@ -7,8 +7,9 @@ and reports population-scale attack statistics.  The execution hierarchy:
 * the campaign is split into fixed-size **shards** of consecutive
   session indices;
 * shards are mapped over **workers** by the existing
-  :class:`~repro.experiments.executor.TrialExecutor` (spawn processes,
-  crash isolation, shard-level retry);
+  :class:`~repro.experiments.executor.TrialExecutor` (``workers``
+  persistent spawn processes, recycled after a failed attempt; crash
+  isolation, shard-level retry);
 * inside a shard, **trials** (sessions) run one at a time and fold
   immediately into a :class:`~repro.campaign.columnar.ColumnarSummary`
   — no per-trial object outlives its shard, so a worker's memory is

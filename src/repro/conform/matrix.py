@@ -5,7 +5,7 @@ produce bit-identical stdout:
 
 * **serial** — the golden layer's capture (``--workers 1``), reused as
   the reference;
-* **workers-4** — the same argv with ``--workers 4``: a spawn pool
+* **workers-4** — the same argv with ``--workers 4``: spawn workers
   must not change a byte;
 * **kill+resume** — the run is checkpointed, the checkpoint is
   truncated to a strict prefix (simulating a kill partway through),

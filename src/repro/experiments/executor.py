@@ -12,14 +12,16 @@ other plain-data result) worker-side.
 Backends:
 
 * ``serial``  — a plain in-process loop (the default for 1 worker).
-* ``process`` — a spawn-context :mod:`multiprocessing` pool.  Spawn is
-  used on every platform so workers never inherit forked simulator
-  state, and because tasks must be picklable anyway.
+* ``process`` — ``workers`` persistent spawn-context worker processes
+  per ``map_trials`` call, each fed one trial index at a time over its
+  own duplex pipe and recycled after a failed attempt.  Spawn is used
+  on every platform so workers never inherit forked simulator state,
+  and because tasks must be picklable anyway.
 
-Determinism: trials are seeded from their index alone, dispatch is
-chunked over a fixed index order, and results are returned in trial
-order (``Pool.map`` preserves input order), so aggregates are
-bit-identical regardless of worker count or backend.
+Determinism: trials are seeded from their index alone and results are
+collected by index and returned in input order, so aggregates are
+bit-identical regardless of worker count, backend, or which worker ran
+which trial.
 
 Worker count resolution order: explicit ``workers=`` argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (serial).
@@ -28,17 +30,19 @@ Fault tolerance
 ---------------
 
 ``map_trials`` accepts an optional :class:`FaultTolerance` policy.  With
-one active, the executor switches from a shared pool to supervised
-one-process-per-trial dispatch and guarantees:
+one active, the process backend supervises its workers and guarantees:
 
 * a worker exception is returned as a structured :class:`TrialError`
-  carrying the trial index and traceback instead of poisoning the pool;
-* a crashed worker (``SIGKILL``, OOM, hard exit) is detected by its
-  exit code and only that trial is affected;
+  carrying the trial index and traceback instead of poisoning the run;
+* a crashed worker (``SIGKILL``, OOM, hard exit) is seen at once as an
+  end-of-file on its pipe, and only that trial's attempt is affected;
 * a hung trial is killed after ``timeout`` wall-clock seconds;
 * each failed trial is retried up to ``retries`` times — trials are
   seeded from their index alone, so a retry deterministically
   reproduces what the lost worker would have computed;
+* a worker is reused only after a trial succeeds: any failed attempt
+  kills it and the next trial gets a fresh process, so every retry runs
+  in a clean process and no process outlives ``map_trials``;
 * completed results stream into a JSON checkpoint
   (``checkpoint_path``), and a re-run with the same checkpoint skips
   completed trials — a long sweep survives interruption of the whole
@@ -86,13 +90,13 @@ import json
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import sys
 import tempfile
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_connections
 from typing import (
     Any,
     Callable,
@@ -128,9 +132,9 @@ BACKOFF_ENV = "REPRO_BACKOFF"
 
 _BACKENDS = ("serial", "process")
 
-#: Grace period between noticing a dead worker and declaring it crashed
-#: (its result may still be in flight through the queue feeder).
-_CRASH_GRACE = 1.0
+#: Seconds a worker is given to exit (after the ``None`` sentinel or
+#: SIGTERM) before the next escalation, and a dead worker to be reaped.
+_EXIT_GRACE = 1.0
 
 #: Supervision loop poll interval, seconds.
 _POLL_INTERVAL = 0.05
@@ -170,9 +174,9 @@ def _silence_worker_stdout() -> None:
         sys.stdout = io.StringIO()
 
 
-#: Worker-side heartbeat channel, set by :func:`_trial_worker`:
-#: ``(result_queue, trial_index, last_beat_monotonic)`` or ``None``
-#: outside a supervised worker.
+#: Worker-side heartbeat channel of the running trial, set by
+#: :func:`_worker_loop`: ``[connection, trial_index, last_beat_monotonic]``
+#: while a trial runs in a worker process, ``None`` otherwise.
 _worker_heartbeat: Optional[List[Any]] = None
 
 
@@ -182,21 +186,21 @@ def heartbeat() -> None:
     A no-op outside supervised workers, so tasks may call it
     unconditionally (the campaign shard loop beats once per session).
     Beats are throttled to one per :data:`_HEARTBEAT_INTERVAL` so a
-    tight loop cannot flood the result queue.  The parent's hung-shard
+    tight loop cannot flood the worker's pipe.  The parent's hung-shard
     watchdog (``FaultTolerance.heartbeat_timeout``) kills and retries a
     worker whose beats stop.
     """
     channel = _worker_heartbeat
     if channel is None:
         return
-    queue, index, last = channel
+    connection, index, last = channel
     now = time.monotonic()
     if now - last < _HEARTBEAT_INTERVAL:
         return
     channel[2] = now
     try:
-        queue.put((index, _HEARTBEAT, None, ""))
-    except Exception:  # queue torn down mid-shutdown — liveness only
+        connection.send((index, _HEARTBEAT, None, ""))
+    except OSError:  # parent gone mid-shutdown — liveness only
         pass
 
 
@@ -343,9 +347,11 @@ class FaultTolerance:
     """Fault-tolerance policy for :meth:`TrialExecutor.map_trials`.
 
     Attributes:
-        timeout: per-trial wall-clock budget in seconds; a worker
-            running longer is killed and the trial retried (process
-            backend only — a serial run cannot preempt itself).
+        timeout: per-trial wall-clock budget in seconds, counted
+            from the trial's dispatch to a worker (a fresh worker's
+            start-up included); a worker running longer is killed and
+            the trial retried (process backend only — a serial run
+            cannot preempt itself).
         retries: extra attempts per trial after the first failure.
         checkpoint_path: JSON file streaming completed results; on the
             next run, trials already recorded there are not re-run.
@@ -409,27 +415,45 @@ class _IndexedTask:
             ) from error
 
 
-def _trial_worker(task, index, result_queue):  # pragma: no cover - subprocess
-    """Spawn target: run one trial, ship (index, ok, payload, tb) back."""
+def _worker_loop(task, connection):  # pragma: no cover - subprocess
+    """Spawn target: run trials received over ``connection`` until ``None``.
+
+    Each received index runs ``task(index)`` and sends ``(index, ok,
+    payload, tb)`` back on the same pipe.  The heartbeat channel is
+    opened at each trial's entry with a fresh throttle clock, announced
+    once, and closed after the trial, so the parent's watchdog clock
+    starts at task entry and no beat of one trial is credited to the
+    next.  Failures are reported rather than raised (this is the
+    boundary that must keep reporting); the parent then kills the
+    worker, so an interrupt or exit inside the task is not lost.
+    """
     global _worker_heartbeat
     _silence_worker_stdout()
-    # Open the heartbeat channel and announce liveness once, so the
-    # parent's watchdog clock starts from task entry, not spawn time.
-    _worker_heartbeat = [result_queue, index, 0.0]
-    heartbeat()
-    try:
-        result = task(index)
-    except BaseException as error:
-        result_queue.put(
-            (
-                index,
-                False,
-                f"{type(error).__name__}: {error}",
+    while True:
+        index = connection.recv()
+        if index is None:
+            return
+        _worker_heartbeat = [connection, index, 0.0]
+        heartbeat()
+        try:
+            message = (index, True, task(index), "")
+        except BaseException as error:
+            message = (
+                index, False, f"{type(error).__name__}: {error}",
                 traceback.format_exc(),
             )
-        )
-    else:
-        result_queue.put((index, True, result, ""))
+        finally:
+            _worker_heartbeat = None
+        try:
+            connection.send(message)
+        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            # Pickling fails before any byte is written, so the pipe is
+            # still clean for the error report.
+            connection.send((
+                index, False,
+                f"unpicklable result: {type(error).__name__}: {error}",
+                traceback.format_exc(),
+            ))
 
 
 #: Chaos/test hook: when set, called at the top of every checkpoint
@@ -643,6 +667,33 @@ class Checkpoint:
         return len(checkpoint.results)
 
 
+#: The policy of a policy-free process-backend map: one attempt, no
+#: checkpoint; the first failure raises :class:`TrialExecutionError`.
+_FAIL_FAST = FaultTolerance(retries=0)
+
+
+class _Worker:
+    """Parent-side handle of one persistent worker process."""
+
+    def __init__(self, process, connection) -> None:
+        self.process = process
+        self.connection = connection
+        #: The trial it runs (the last one it ran, once idle).
+        self.index: Optional[int] = None
+        self.started = 0.0
+        self.last_beat = 0.0
+
+    def stop(self) -> None:
+        """Terminate (escalating to kill), reap, and close the pipe."""
+        process = self.process
+        for signal_process in (process.terminate, process.kill):
+            if not process.is_alive():
+                break
+            signal_process()
+            process.join(timeout=_EXIT_GRACE)
+        self.connection.close()
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The effective worker count: argument, else env, else 1.
 
@@ -667,20 +718,17 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 class TrialExecutor:
-    """Maps picklable tasks over trial indices, serially or in a pool.
+    """Maps picklable tasks over trial indices, serially or in workers.
 
     Attributes:
         workers: resolved worker count.
         backend: ``"serial"`` or ``"process"``.
-        chunk_size: trial indices dispatched per pool task; None picks
-            ~4 chunks per worker so stragglers rebalance.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         if backend is None:
@@ -689,18 +737,10 @@ class TrialExecutor:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.backend = backend
-        self.chunk_size = chunk_size
         #: The Checkpoint of the most recent fault-tolerant map (None
         #: otherwise) — supervisors read quarantine/write-error state.
         self.last_checkpoint: Optional[Checkpoint] = None
-
-    def _chunk_size(self, count: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, count // (workers * 4))
 
     def map_trials(
         self,
@@ -721,8 +761,8 @@ class TrialExecutor:
                 retry, crash isolation and checkpoint/resume.  With a
                 policy active, trials that exhaust their retries yield
                 :class:`TrialError` records in the result list instead
-                of raising; without one, a worker exception is raised
-                as :class:`TrialExecutionError` naming the trial.
+                of raising; without one, the first failing trial is
+                raised as :class:`TrialExecutionError` naming it.
 
         Returns:
             The task results, ordered like the input indices regardless
@@ -736,17 +776,15 @@ class TrialExecutor:
         if fault_tolerance is not None:
             return self._map_fault_tolerant(indices, task, fault_tolerance)
         workers = min(self.workers, len(indices))
-        wrapped = _IndexedTask(task)
         if self.backend == "serial" or workers <= 1:
+            wrapped = _IndexedTask(task)
             return [wrapped(index) for index in indices]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=workers, initializer=_silence_worker_stdout
-        ) as pool:
-            return pool.map(
-                wrapped, indices,
-                chunksize=self._chunk_size(len(indices), workers),
-            )
+        results: Dict[int, Any] = {}
+        self._run_supervised(
+            indices, task, _FAIL_FAST, results, None, workers,
+            time.monotonic(), fail_fast=True,
+        )
+        return [results[index] for index in indices]
 
     # -- Fault-tolerant dispatch ------------------------------------------
 
@@ -864,24 +902,31 @@ class TrialExecutor:
             self._finish_trial(index, outcome, results, checkpoint, policy)
 
     def _run_supervised(
-        self, pending, task, policy, results, checkpoint, workers, started
+        self, pending, task, policy, results, checkpoint, workers, started,
+        fail_fast=False,
     ) -> None:
-        """One supervised spawn process per trial, ``workers`` at a time.
+        """Supervise ``workers`` persistent spawn processes over ``pending``.
 
-        Unlike a shared pool, a crashed or hung worker here is *one
-        process* whose exit code and runtime the parent watches — so a
-        ``SIGKILL`` mid-trial, an OOM kill or an infinite loop costs one
-        attempt of one trial, never the sweep.  Workers report progress
-        heartbeats over the result queue; with ``heartbeat_timeout``
-        set, a silent-but-alive worker (a stalled shard) is killed and
-        retried like a hung one.  ``deadline`` bounds the whole call:
-        on expiry every unfinished trial is recorded as
-        ``kind="deadline"`` and the loop stops.
+        Each worker runs one trial at a time, fed over its own duplex
+        pipe; the parent waits on the busy pipes, so a result, a
+        heartbeat or a crash (end-of-file) is seen as soon as it
+        happens.  A worker is reused only after a success: an
+        exception, crash, timeout, stall or deadline kills it, and the
+        next trial starts a fresh process — so a ``SIGKILL`` mid-trial,
+        an OOM kill or an infinite loop costs one attempt of one trial,
+        never the sweep, and every same-seed retry runs in a clean
+        process.  With ``heartbeat_timeout`` set, a silent-but-alive
+        worker (a stalled shard) is killed and retried like a hung one.
+        ``deadline`` bounds the whole call: on expiry every unfinished
+        trial is recorded as ``kind="deadline"`` and the loop stops.
+        With ``fail_fast`` the first failed attempt raises
+        :class:`TrialExecutionError` instead.  No worker outlives the
+        call.
         """
         context = multiprocessing.get_context("spawn")
-        result_queue = context.Queue()
         todo = deque(pending)
-        running: Dict[int, Dict[str, Any]] = {}
+        idle: List[_Worker] = []
+        busy: Dict[Any, _Worker] = {}  # keyed by the parent's pipe end
         attempts: Dict[int, int] = {}
         history: Dict[int, List[Dict[str, Any]]] = {}
         ready_at: Dict[int, float] = {}
@@ -890,45 +935,46 @@ class TrialExecutor:
         )
 
         def launch(index: int) -> None:
+            if idle:
+                worker = idle.pop()
+            else:
+                parent_end, child_end = context.Pipe()
+                process = context.Process(
+                    target=_worker_loop, args=(task, child_end), daemon=True,
+                )
+                process.start()
+                child_end.close()
+                worker = _Worker(process, parent_end)
             attempts[index] = attempts.get(index, 0) + 1
-            process = context.Process(
-                target=_trial_worker,
-                args=(task, index, result_queue),
-                daemon=True,
+            worker.index = index
+            worker.started = worker.last_beat = time.monotonic()
+            busy[worker.connection] = worker
+            try:
+                worker.connection.send(index)
+            except OSError:  # the worker died while idle
+                crashed(worker)
+
+        def succeed(worker: _Worker, outcome: Any) -> None:
+            del busy[worker.connection]
+            idle.append(worker)
+            self._finish_trial(
+                worker.index, outcome, results, checkpoint, policy
             )
-            process.start()
-            now = time.monotonic()
-            running[index] = {
-                "process": process,
-                "started": now,
-                "last_beat": now,
-                "dead_since": None,
-            }
 
-        def retire(index: int, outcome: Any) -> None:
-            state = running.pop(index)
-            state["process"].join(timeout=_CRASH_GRACE)
-            self._finish_trial(index, outcome, results, checkpoint, policy)
-
-        def kill(process) -> None:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_CRASH_GRACE)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=_CRASH_GRACE)
-
-        def retry_or_fail(
-            index: int, error: str, tb: str = "", kind: str = "exception"
+        def fail(
+            worker: _Worker, error: str, tb: str = "", kind: str = "exception"
         ) -> None:
-            state = running.pop(index)
-            kill(state["process"])
+            del busy[worker.connection]
+            worker.stop()
+            index = worker.index
             history.setdefault(index, []).append({
                 "attempt": attempts[index],
                 "kind": kind,
                 "error": error,
-                "elapsed_s": round(time.monotonic() - state["started"], 3),
+                "elapsed_s": round(time.monotonic() - worker.started, 3),
             })
+            if fail_fast:
+                raise TrialExecutionError(index, error)
             if attempts[index] <= policy.retries:
                 delay = retry_backoff(
                     policy.backoff_base, policy.backoff_seed,
@@ -945,16 +991,26 @@ class TrialExecutor:
                         error=error,
                         traceback=tb,
                         kind=kind,
-                        history=tuple(history.get(index, ())),
+                        history=tuple(history[index]),
                     ),
                     results, checkpoint, policy,
                 )
+
+        def crashed(worker: _Worker) -> None:
+            worker.process.join(timeout=_EXIT_GRACE)
+            fail(
+                worker,
+                f"worker crashed with exit code {worker.process.exitcode}",
+                kind="crash",
+            )
 
         def expire_deadline() -> None:
             """Kill everything in flight; record all unfinished trials."""
-            for index in list(running):
-                state = running.pop(index)
-                kill(state["process"])
+            unfinished = [worker.index for worker in busy.values()]
+            for worker in busy.values():
+                worker.stop()
+            busy.clear()
+            for index in unfinished + list(todo):
                 self._finish_trial(
                     index,
                     self._deadline_error(
@@ -963,93 +1019,71 @@ class TrialExecutor:
                     ),
                     results, checkpoint, policy,
                 )
-            while todo:
-                index = todo.popleft()
-                self._finish_trial(
-                    index,
-                    self._deadline_error(
-                        index, attempts.get(index, 0),
-                        tuple(history.get(index, ())),
-                    ),
-                    results, checkpoint, policy,
-                )
+            todo.clear()
 
         try:
-            while todo or running:
+            while todo or busy:
                 if (
                     deadline_at is not None
                     and time.monotonic() >= deadline_at
                 ):
                     expire_deadline()
                     break
-                while todo and len(running) < workers:
-                    # The head of the queue may be backing off; trials
-                    # behind it wait too (retries go to the front so a
-                    # recovering shard is not starved by fresh work).
-                    if ready_at.get(todo[0], 0.0) > time.monotonic():
-                        break
+                # The head of the queue may be backing off; trials
+                # behind it wait too (retries go to the front so a
+                # recovering shard is not starved by fresh work).
+                while (
+                    todo and len(busy) < workers
+                    and ready_at.get(todo[0], 0.0) <= time.monotonic()
+                ):
                     launch(todo.popleft())
-                try:
-                    message = result_queue.get(timeout=_POLL_INTERVAL)
-                except queue_module.Empty:
-                    message = None
-                if message is not None:
-                    index, ok, payload, tb = message
-                    if index in running:
-                        if ok == _HEARTBEAT:
-                            running[index]["last_beat"] = time.monotonic()
-                        elif ok:
-                            retire(index, payload)
-                        else:
-                            retry_or_fail(index, payload, tb)
-                    continue  # drain before supervising
+                for connection in wait_connections(
+                    list(busy), timeout=_POLL_INTERVAL
+                ):
+                    worker = busy[connection]
+                    try:
+                        _index, ok, payload, tb = connection.recv()
+                    except (EOFError, OSError):
+                        crashed(worker)
+                        continue
+                    if ok == _HEARTBEAT:
+                        worker.last_beat = time.monotonic()
+                    elif ok:
+                        succeed(worker, payload)
+                    else:
+                        fail(worker, payload, tb)
                 now = time.monotonic()
-                for index in list(running):
-                    state = running[index]
-                    process = state["process"]
+                for worker in list(busy.values()):
                     if (
                         policy.timeout is not None
-                        and now - state["started"] > policy.timeout
-                        and process.is_alive()
+                        and now - worker.started > policy.timeout
                     ):
-                        retry_or_fail(
-                            index,
+                        fail(
+                            worker,
                             f"timeout: trial exceeded {policy.timeout:.1f}s",
                             kind="timeout",
                         )
-                        continue
-                    if (
+                    elif (
                         policy.heartbeat_timeout is not None
-                        and now - state["last_beat"]
-                        > policy.heartbeat_timeout
-                        and process.is_alive()
+                        and now - worker.last_beat > policy.heartbeat_timeout
                     ):
-                        retry_or_fail(
-                            index,
+                        fail(
+                            worker,
                             "stalled: no heartbeat for "
                             f"{policy.heartbeat_timeout:.1f}s",
                             kind="stalled",
                         )
-                        continue
-                    if not process.is_alive():
-                        # Dead without a result *yet* — allow the queue
-                        # feeder a grace period before declaring a crash.
-                        if state["dead_since"] is None:
-                            state["dead_since"] = now
-                        elif now - state["dead_since"] > _CRASH_GRACE:
-                            retry_or_fail(
-                                index,
-                                "worker crashed with exit code "
-                                f"{process.exitcode}",
-                                kind="crash",
-                            )
         finally:
-            for state in running.values():
-                process = state["process"]
-                if process.is_alive():
-                    process.terminate()
-            result_queue.close()
-            result_queue.join_thread()
+            for worker in busy.values():
+                worker.stop()
+            for worker in idle:
+                try:
+                    worker.connection.send(None)
+                except OSError:
+                    pass
+            for worker in idle:
+                worker.process.join(timeout=_EXIT_GRACE)
+                worker.stop()
 
     def _finish_trial(self, index, outcome, results, checkpoint, policy):
         results[index] = outcome

@@ -2,11 +2,14 @@
 
 Covers the indexed wrapping of worker exceptions (every failure names
 its trial), the retry/timeout/crash-isolation semantics of supervised
-dispatch, and checkpoint/resume.  All tasks are module-level dataclasses
-so they pickle across the spawn boundary.
+dispatch, worker reuse and recycling (exact process-start counts), and
+checkpoint/resume.  All tasks are module-level dataclasses so they
+pickle across the spawn boundary.
 """
 
 import json
+import multiprocessing
+import multiprocessing.process
 import os
 import pickle
 import signal
@@ -15,12 +18,16 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.campaign import CampaignConfig, run_campaign
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import (
+    CAPTURE_ENV,
     Checkpoint,
     FaultTolerance,
     TrialError,
     TrialExecutionError,
     TrialExecutor,
+    heartbeat,
     map_trials,
 )
 from repro.simkernel.randomstream import RandomStreams
@@ -111,6 +118,79 @@ class _Hang:
         if index == self.bad:
             time.sleep(60)
         return index * index
+
+
+@dataclass(frozen=True)
+class _FailFirstAttempt:
+    """Fails the first attempt of trial ``bad``; every trial returns its PID.
+
+    ``bad`` must be one of the first two trials dispatched (0 or 1 on
+    two workers), or the waiting trials would hold both workers.
+    ``fault`` is ``raise``, ``kill`` (SIGKILL its own worker) or
+    ``stall`` (go silent, for the heartbeat watchdog).  The failed
+    attempt leaves its PID in ``failed-<bad>``.  Every other trial
+    waits, beating, until the retry of ``bad`` has started, so the
+    surviving worker is still busy when the failure is handled and the
+    process-start count does not depend on timing.
+    """
+
+    marker_dir: str
+    bad: int = 0
+    fault: str = "raise"
+
+    def _marker(self, name: str) -> str:
+        return os.path.join(self.marker_dir, f"{name}-{self.bad}")
+
+    def __call__(self, index: int) -> int:
+        failed, retried = self._marker("failed"), self._marker("retried")
+        if index == self.bad:
+            if os.path.exists(failed):
+                open(retried, "w").close()
+                return os.getpid()
+            with open(failed, "w") as handle:
+                handle.write(str(os.getpid()))
+            if self.fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if self.fault == "stall":
+                time.sleep(60)
+            raise ValueError("first attempt fails")
+        waited_until = time.monotonic() + 30
+        while not os.path.exists(retried) and time.monotonic() < waited_until:
+            heartbeat()
+            time.sleep(0.02)
+        return os.getpid()
+
+
+@dataclass(frozen=True)
+class _Sleep:
+    seconds: float
+
+    def __call__(self, index: int) -> int:
+        time.sleep(self.seconds)
+        return index
+
+
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every process started while the test runs, counted like the
+    layer benchmark counts them (``BaseProcess.start`` calls)."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def _assert_all_reaped(processes):
+    assert processes
+    assert [process.is_alive() for process in processes] == [False] * len(
+        processes
+    )
+    assert all(process.exitcode is not None for process in processes)
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +393,125 @@ def test_checkpoint_resume_is_deterministic_end_to_end(tmp_path):
         fault_tolerance=FaultTolerance(checkpoint_path=path),
     )
     assert resumed == uninterrupted
+
+
+# ---------------------------------------------------------------------------
+# Persistent workers: exact process starts, reuse and recycling
+# ---------------------------------------------------------------------------
+
+def test_clean_supervised_map_starts_one_process_per_worker(
+    started_processes,
+):
+    results = TrialExecutor(workers=2).map_trials(
+        16, _square, fault_tolerance=FaultTolerance(retries=1)
+    )
+    assert results == [index * index for index in range(16)]
+    assert len(started_processes) == 2
+    _assert_all_reaped(started_processes)
+
+
+@pytest.mark.parametrize("fault", ["kill", "stall"])
+def test_failed_attempt_recycles_exactly_one_worker(
+    tmp_path, started_processes, fault
+):
+    """A SIGKILLed or watchdog-killed worker is replaced once: 2 + 1."""
+    policy = FaultTolerance(
+        retries=1,
+        heartbeat_timeout=1.0 if fault == "stall" else None,
+    )
+    task = _FailFirstAttempt(marker_dir=str(tmp_path), fault=fault)
+    results = TrialExecutor(workers=2).map_trials(
+        16, task, fault_tolerance=policy
+    )
+    assert not any(isinstance(result, TrialError) for result in results)
+    assert len(started_processes) == 3
+    _assert_all_reaped(started_processes)
+
+
+def test_retry_runs_in_a_fresh_process_and_successes_reuse_workers(tmp_path):
+    task = _FailFirstAttempt(marker_dir=str(tmp_path))
+    pids = TrialExecutor(workers=2).map_trials(
+        16, task, fault_tolerance=FaultTolerance(retries=1)
+    )
+    with open(os.path.join(str(tmp_path), "failed-0")) as handle:
+        failed_pid = int(handle.read())
+    assert pids[0] != failed_pid  # the retry ran in a clean process
+    assert failed_pid not in pids  # the failed worker ran nothing else
+    assert len(set(pids)) == 2  # 16 successes shared the two live workers
+
+
+def test_deadline_expiry_reaps_running_workers(started_processes):
+    results = TrialExecutor(workers=2).map_trials(
+        4, _Sleep(30.0), fault_tolerance=FaultTolerance(deadline=1.0)
+    )
+    assert [result.kind for result in results] == ["deadline"] * 4
+    _assert_all_reaped(started_processes)
+
+
+def test_process_crash_without_policy_raises_and_reaps(started_processes):
+    with pytest.raises(TrialExecutionError) as excinfo:
+        TrialExecutor(workers=2).map_trials(4, _CrashAlways(bad=2))
+    assert excinfo.value.trial == 2
+    assert "crashed" in excinfo.value.details
+    _assert_all_reaped(started_processes)
+
+
+@dataclass(frozen=True)
+class _Unpicklable:
+    def __call__(self, index: int):
+        return lambda: index
+
+
+def test_unpicklable_result_is_reported_not_a_crash():
+    with pytest.raises(TrialExecutionError) as excinfo:
+        TrialExecutor(workers=2).map_trials(2, _Unpicklable())
+    assert "unpicklable result" in excinfo.value.details
+
+
+@pytest.mark.parametrize("backend", ["python", "fast"])
+def test_supervised_campaign_digest_matches_serial(tmp_path, backend):
+    config = CampaignConfig(sessions=800, shard_size=50, seed=3)
+    assert config.shard_count == 16
+    serial = run_campaign(config, workers=1, backend=backend)
+    supervised = run_campaign(
+        config, workers=2, backend=backend,
+        checkpoint_dir=str(tmp_path / "ck"),
+    )
+    assert supervised.digest() == serial.digest()
+
+
+# ---------------------------------------------------------------------------
+# Heartbeat channel: one per trial in a reused worker
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _ChannelProbe:
+    """Reports which trial the open heartbeat channel belongs to."""
+
+    def __call__(self, index: int) -> int:
+        heartbeat()  # within the throttle interval of the entry beat
+        return executor_module._worker_heartbeat[1]
+
+
+def test_worker_loop_opens_a_fresh_heartbeat_channel_per_trial(monkeypatch):
+    monkeypatch.delenv(CAPTURE_ENV, raising=False)
+    parent_end, worker_end = multiprocessing.Pipe()
+    with parent_end, worker_end:
+        for item in (3, 4, None):
+            parent_end.send(item)
+        executor_module._worker_loop(_ChannelProbe(), worker_end)
+        messages = []
+        while parent_end.poll():
+            messages.append(parent_end.recv())
+    heartbeat_kind = executor_module._HEARTBEAT
+    # Each trial announces itself at entry even though the previous
+    # trial beat moments ago (fresh throttle clock), under its own
+    # index; no beat of trial 3 is credited to trial 4.
+    assert messages == [
+        (3, heartbeat_kind, None, ""),
+        (3, True, 3, ""),
+        (4, heartbeat_kind, None, ""),
+        (4, True, 4, ""),
+    ]
+    assert executor_module._worker_heartbeat is None  # closed after trials
+    heartbeat()  # a no-op again outside a trial
