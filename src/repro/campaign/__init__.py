@@ -3,9 +3,11 @@
 The paper's study covers ≈500 volunteers; this package scales the same
 question — how often does the §V attack succeed? — to synthetic
 populations of 10⁵–10⁷ pages.  See :mod:`repro.campaign.engine` for the
-shard → worker → trial hierarchy and
+shard → worker → trial hierarchy,
 :mod:`repro.campaign.columnar` for the streaming columnar aggregation
-that keeps peak memory independent of the session count.
+that keeps peak memory independent of the session count, and
+:mod:`repro.campaign.supervisor` for the sharded-job runner that the
+campaign and the ``repro infer`` frontier share.
 
 Run one from the CLI::
 
@@ -16,17 +18,18 @@ from repro.campaign.columnar import ColumnarSummary, merge_summaries
 from repro.campaign.engine import (
     AnalyticModel,
     CampaignConfig,
-    CampaignError,
     CampaignResult,
     ShardTask,
-    checkpoint_path,
     run_campaign,
 )
 from repro.campaign.supervisor import (
     MANIFEST_SCHEMA,
     MANIFEST_VERSION,
+    CampaignError,
     build_manifest,
+    checkpoint_path,
     render_shard_errors,
+    run_sharded,
     validate_manifest,
     write_manifest,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "merge_summaries",
     "render_shard_errors",
     "run_campaign",
+    "run_sharded",
     "validate_manifest",
     "write_manifest",
 ]

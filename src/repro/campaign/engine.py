@@ -15,9 +15,11 @@ and reports population-scale attack statistics.  The execution hierarchy:
   — no per-trial object outlives its shard, so a worker's memory is
   O(1) in the session count and the parent's is O(shards).
 
-Checkpoint/resume rides the executor's JSON
-:class:`~repro.experiments.executor.Checkpoint`: each completed shard's
-columnar summary (plain integers) streams to disk, and a re-run of the
+Sharding, supervision and checkpoint/resume are the shared sharded-job
+runner's (:func:`repro.campaign.supervisor.run_sharded`, which also runs
+the ``repro infer`` frontier): each completed shard's columnar summary
+(plain integers) streams into the executor's sealed JSON
+:class:`~repro.experiments.executor.Checkpoint`, and a re-run of the
 same campaign — the checkpoint file name is derived from the campaign
 config — skips completed shards and merges to a bit-identical result.
 
@@ -38,10 +40,6 @@ Two session engines:
 
 from __future__ import annotations
 
-import hashlib
-import math
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -51,12 +49,8 @@ from repro.core.predictor import (
     RECORD_OVERHEAD,
     expected_wire_payload,
 )
-from repro.experiments.executor import (
-    FaultTolerance,
-    TrialError,
-    TrialExecutor,
-    heartbeat,
-)
+from repro.campaign.supervisor import ShardPlan, run_sharded, shard_coverage
+from repro.experiments.executor import TrialError, heartbeat
 from repro.experiments.report import format_table
 from repro.fastpath import resolve_backend
 from repro.web.workload import PageSpec, PopulationConfig, PopulationWorkload
@@ -124,7 +118,7 @@ class AnalyticModel:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(ShardPlan):
     """Parameters of one campaign run (picklable, fully deterministic).
 
     Attributes:
@@ -152,13 +146,12 @@ class CampaignConfig:
     horizon: float = 40.0
     transport: str = "tcp"
 
+    kind = "campaign"
+
     def __post_init__(self) -> None:
         from repro.transport import TRANSPORTS
 
-        if self.sessions < 1:
-            raise ValueError("sessions must be >= 1")
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
+        super().__post_init__()
         if self.mode not in MODES:
             raise ValueError(
                 f"unknown campaign mode {self.mode!r}; expected one of {MODES}"
@@ -173,23 +166,6 @@ class CampaignConfig:
                 "analytic mode models TCP serialization; use mode='full' "
                 f"for transport {self.transport!r}"
             )
-
-    @property
-    def shard_count(self) -> int:
-        return math.ceil(self.sessions / self.shard_size)
-
-    def shard_range(self, shard: int) -> range:
-        """Session indices of one shard."""
-        start = shard * self.shard_size
-        return range(start, min(start + self.shard_size, self.sessions))
-
-    def digest(self) -> str:
-        """Stable digest of the config — the checkpoint file identity.
-
-        Config dataclasses hold only ints/floats/strings/tuples, whose
-        reprs are deterministic across processes and runs.
-        """
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +400,6 @@ class ShardTask:
         return summary.to_json()
 
 
-class CampaignError(RuntimeError):
-    """A shard exhausted its retries; the campaign total would be wrong.
-
-    Raised only when ``allow_partial`` is off.  ``errors`` carries the
-    structured per-shard records (kind, attempts, history) and
-    ``manifest_path`` names the failure manifest, when one was written,
-    so callers can point operators at the full accounting.
-    """
-
-    def __init__(
-        self,
-        errors: List[TrialError],
-        manifest_path: Optional[str] = None,
-    ) -> None:
-        shards = ", ".join(str(error.trial) for error in errors)
-        message = f"{len(errors)} shard(s) failed after retries: {shards}"
-        if manifest_path:
-            message += f" (failure manifest: {manifest_path})"
-        super().__init__(message)
-        self.errors = errors
-        self.manifest_path = manifest_path
-
-
 @dataclass
 class CampaignResult:
     """Merged campaign output plus run metadata.
@@ -494,22 +447,13 @@ class CampaignResult:
 
     @property
     def sessions_covered(self) -> int:
-        missing = sum(
-            len(self.config.shard_range(e.trial)) for e in self.errors
-        )
-        return self.config.sessions - missing
+        return shard_coverage(self.config, self.errors)["sessions_covered"]
 
     def coverage(self) -> Dict[str, Any]:
         """The coverage accounting block (stable, deterministic)."""
         return {
-            "completed_shards": self.shards - len(self.errors),
-            "failed_shards": len(self.failed_shards),
-            "skipped_shards": len(self.skipped_shards),
-            "sessions_total": self.config.sessions,
-            "sessions_covered": self.sessions_covered,
-            "error_kinds": sorted(
-                {e.kind for e in self.errors}
-            ),
+            **shard_coverage(self.config, self.errors),
+            "error_kinds": sorted({e.kind for e in self.errors}),
             "shards": sorted(e.trial for e in self.errors),
         }
 
@@ -596,22 +540,6 @@ class CampaignResult:
         )
 
 
-def checkpoint_path(config: CampaignConfig, checkpoint_dir: str) -> str:
-    """The campaign's shard-checkpoint file inside ``checkpoint_dir``.
-
-    Derived from the config digest, so re-running the same campaign
-    resumes its own file and a different campaign never collides.
-    """
-    return os.path.join(
-        checkpoint_dir, f"campaign-{config.digest()}.json"
-    )
-
-
-#: Default base seconds of the deterministic retry backoff between
-#: same-seed shard retries (``REPRO_BACKOFF`` overrides; 0 disables).
-DEFAULT_BACKOFF_BASE = 0.05
-
-
 def run_campaign(
     config: CampaignConfig,
     workers: Optional[int] = None,
@@ -666,91 +594,32 @@ def run_campaign(
         CampaignError: when a shard exhausted its retries and
             ``allow_partial`` is off.
     """
-    from repro.campaign import supervisor
-
-    started = time.perf_counter()
     resolved_backend = resolve_backend(backend)
-    executor = TrialExecutor(workers=workers)
     task = (
         shard_task if shard_task is not None
         else ShardTask(config, backend=resolved_backend)
     )
-    supervised = (
-        bool(checkpoint_dir) or allow_partial or deadline is not None
-        or heartbeat_timeout is not None
+    run = run_sharded(
+        config, task,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        retries=retries,
+        allow_partial=allow_partial,
+        deadline=deadline,
+        heartbeat_timeout=heartbeat_timeout,
+        failure_manifest=failure_manifest,
     )
-    fault_tolerance = None
-    resumed = 0
-    quarantined: List[str] = []
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        path = checkpoint_path(config, checkpoint_dir)
-        if os.path.exists(path):
-            from repro.experiments.executor import Checkpoint
-
-            existing = Checkpoint(path, config_digest=config.digest())
-            resumed = len(existing)
-            if existing.quarantined:
-                quarantined.append(existing.quarantined)
-    if supervised:
-        fault_tolerance = FaultTolerance(
-            retries=retries,
-            checkpoint_path=(
-                checkpoint_path(config, checkpoint_dir)
-                if checkpoint_dir else None
-            ),
-            checkpoint_every=1,
-            checkpoint_digest=config.digest(),
-            deadline=deadline,
-            heartbeat_timeout=heartbeat_timeout,
-            backoff_base=DEFAULT_BACKOFF_BASE,
-            backoff_seed=config.digest(),
-        )
-    outcomes = executor.map_trials(
-        config.shard_count, task, fault_tolerance=fault_tolerance
-    )
-    errors = [item for item in outcomes if isinstance(item, TrialError)]
-    checkpoint = executor.last_checkpoint
-    write_error = checkpoint.write_error if checkpoint is not None else None
-    if checkpoint is not None and checkpoint.quarantined:
-        if checkpoint.quarantined not in quarantined:
-            quarantined.append(checkpoint.quarantined)
-
-    manifest_path = None
-    if failure_manifest:
-        status = (
-            "complete" if not errors
-            else ("partial" if allow_partial else "failed")
-        )
-        manifest = supervisor.build_manifest(
-            config, errors,
-            status=status,
-            quarantined=quarantined,
-            checkpoint_write_error=write_error,
-            elapsed_s=time.perf_counter() - started,
-            workers=executor.workers,
-            resumed_shards=resumed,
-        )
-        supervisor.write_manifest(failure_manifest, manifest)
-        manifest_path = failure_manifest
-
-    if errors and not allow_partial:
-        raise CampaignError(errors, manifest_path=manifest_path)
-    # map_trials returns in shard-index order, so this left fold is the
-    # canonical merge order regardless of which worker finished first.
     summary = merge_summaries(
-        ColumnarSummary.from_json(payload)
-        for payload in outcomes
-        if not isinstance(payload, TrialError)
+        ColumnarSummary.from_json(payload) for payload in run.payloads
     )
     return CampaignResult(
         config=config,
         summary=summary,
         shards=config.shard_count,
-        workers=executor.workers,
-        resumed_shards=resumed,
+        workers=run.workers,
+        resumed_shards=run.resumed_shards,
         backend=resolved_backend,
-        errors=errors,
-        quarantined=quarantined,
-        manifest_path=manifest_path,
+        errors=run.errors,
+        quarantined=run.quarantined,
+        manifest_path=run.manifest_path,
     )

@@ -42,10 +42,9 @@ from repro.campaign.engine import (
     CampaignConfig,
     CampaignResult,
     ShardTask,
-    checkpoint_path,
     run_campaign,
 )
-from repro.campaign.supervisor import validate_manifest
+from repro.campaign.supervisor import checkpoint_path, validate_manifest
 from repro.chaos.inject import (
     corrupt_byte,
     failing_checkpoint_writes,

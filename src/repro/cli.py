@@ -523,8 +523,6 @@ def _run_verify(args) -> int:
 
 def _run_robustness_study(args, workers) -> int:
     """The fault-intensity sweep (see repro.experiments.robustness_study)."""
-    import json as json_module
-
     from repro.experiments import robustness_study
     from repro.experiments.executor import FaultTolerance
 
@@ -558,12 +556,38 @@ def _run_robustness_study(args, workers) -> int:
     if not result.monotone_story:
         print("repro: warning: sweep is not monotone (success rose with "
               "fault intensity)", file=sys.stderr)
+    _write_json(args, result)
+    return 0
+
+
+def _write_json(args, result) -> None:
+    """Write ``result.to_json()`` to ``--json`` when it was given."""
+    import json
+
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
+            json.dump(result.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return 0
+
+
+def _report_sharded(args, result, sessions, started, execution="") -> None:
+    """Shared epilogue of ``repro campaign`` and ``repro infer``: the
+    deterministic table and ``--json``, then the stderr throughput line."""
+    import time
+
+    from repro import profiling
+
+    elapsed = time.perf_counter() - started
+    print(result.render())
+    _write_json(args, result)
+    rate = sessions / elapsed if elapsed > 0 else 0.0
+    print(
+        f"repro {args.experiment}: {sessions} sessions in {elapsed:.1f}s "
+        f"({rate:,.0f}/s), {result.shards} shards, {execution}"
+        f"{result.workers} worker(s), {result.resumed_shards} shard(s) "
+        f"resumed, peak RSS {profiling.peak_rss_kb():,} KB",
+        file=sys.stderr,
+    )
 
 
 def _run_campaign(args) -> int:
@@ -578,10 +602,8 @@ def _run_campaign(args) -> int:
     stderr), 2 bad arguments, 3 partial coverage (``--allow-partial``).
     """
     import dataclasses
-    import json as json_module
     import time
 
-    from repro import profiling
     from repro.campaign import (
         AnalyticModel,
         CampaignConfig,
@@ -637,21 +659,9 @@ def _run_campaign(args) -> int:
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
-    print(result.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
-            handle.write("\n")
-    rate = result.summary.sessions / elapsed if elapsed > 0 else 0.0
-    print(
-        f"repro campaign: {result.summary.sessions} sessions in "
-        f"{elapsed:.1f}s ({rate:,.0f}/s), {result.shards} shards, "
-        f"{result.backend} backend, {result.workers} worker(s), "
-        f"{result.resumed_shards} shard(s) resumed, peak RSS "
-        f"{profiling.peak_rss_kb():,} KB",
-        file=sys.stderr,
+    _report_sharded(
+        args, result, result.summary.sessions, start,
+        execution=f"{result.backend} backend, ",
     )
     if result.partial:
         covered = result.sessions_covered
@@ -703,15 +713,10 @@ def _run_infer(args) -> int:
     stderr only.  Exit codes: 0 complete, 1 shard failure, 2 bad
     arguments.
     """
-    import json as json_module
     import time
 
-    from repro import profiling
-    from repro.infer.campaign import (
-        InferCampaignConfig,
-        InferCampaignError,
-        run_infer_campaign,
-    )
+    from repro.campaign import CampaignError, render_shard_errors
+    from repro.infer.campaign import InferCampaignConfig, run_infer_campaign
 
     try:
         config = InferCampaignConfig(
@@ -733,27 +738,14 @@ def _run_infer(args) -> int:
             workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
         )
-    except InferCampaignError as error:
+    except CampaignError as error:
+        print(render_shard_errors(config, error.errors), file=sys.stderr)
         print(f"repro: {error}", file=sys.stderr)
         return 1
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
-    print(result.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
-            handle.write("\n")
-    rate = config.sessions / elapsed if elapsed > 0 else 0.0
-    print(
-        f"repro infer: {config.sessions} sessions in {elapsed:.1f}s "
-        f"({rate:,.0f}/s), {result.shards} shards, {result.workers} "
-        f"worker(s), {result.resumed_shards} shard(s) resumed, peak RSS "
-        f"{profiling.peak_rss_kb():,} KB",
-        file=sys.stderr,
-    )
+    _report_sharded(args, result, config.sessions, start)
     return 0
 
 

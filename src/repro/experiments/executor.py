@@ -9,18 +9,18 @@ callables* over trial indices; tasks run the trial and extract a
 picklable :class:`~repro.experiments.harness.TrialSummary` (or any
 other plain-data result) worker-side.
 
-Backends:
+The worker count picks the execution strategy:
 
-* ``serial``  — a plain in-process loop (the default for 1 worker).
-* ``process`` — ``workers`` persistent spawn-context worker processes
-  per ``map_trials`` call, each fed one trial index at a time over its
-  own duplex pipe and recycled after a failed attempt.  Spawn is used
-  on every platform so workers never inherit forked simulator state,
-  and because tasks must be picklable anyway.
+* 1 worker — a plain in-process loop;
+* ``workers > 1`` — ``workers`` persistent spawn-context worker
+  processes per ``map_trials`` call, each fed one trial index at a time
+  over its own duplex pipe and recycled after a failed attempt.  Spawn
+  is used on every platform so workers never inherit forked simulator
+  state, and because tasks must be picklable anyway.
 
 Determinism: trials are seeded from their index alone and results are
 collected by index and returned in input order, so aggregates are
-bit-identical regardless of worker count, backend, or which worker ran
+bit-identical regardless of worker count or which worker ran
 which trial.
 
 Worker count resolution order: explicit ``workers=`` argument, then the
@@ -30,7 +30,7 @@ Fault tolerance
 ---------------
 
 ``map_trials`` accepts an optional :class:`FaultTolerance` policy.  With
-one active, the process backend supervises its workers and guarantees:
+one active, a multi-worker map supervises its workers and guarantees:
 
 * a worker exception is returned as a structured :class:`TrialError`
   carrying the trial index and traceback instead of poisoning the run;
@@ -129,8 +129,6 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 #: Overrides the retry-backoff base for every policy when set: a float
 #: number of seconds, ``0`` disabling backoff waits entirely (tests/CI).
 BACKOFF_ENV = "REPRO_BACKOFF"
-
-_BACKENDS = ("serial", "process")
 
 #: Seconds a worker is given to exit (after the ``None`` sentinel or
 #: SIGTERM) before the next escalation, and a dead worker to be reaped.
@@ -350,8 +348,8 @@ class FaultTolerance:
         timeout: per-trial wall-clock budget in seconds, counted
             from the trial's dispatch to a worker (a fresh worker's
             start-up included); a worker running longer is killed and
-            the trial retried (process backend only — a serial run
-            cannot preempt itself).
+            the trial retried (``workers > 1`` only — an in-process
+            run cannot preempt itself).
         retries: extra attempts per trial after the first failure.
         checkpoint_path: JSON file streaming completed results; on the
             next run, trials already recorded there are not re-run.
@@ -367,7 +365,7 @@ class FaultTolerance:
             ``kind="deadline"`` :class:`TrialError` records.
         heartbeat_timeout: a supervised worker silent (no
             :func:`heartbeat`) for longer than this is declared stalled,
-            killed and retried (process backend only).
+            killed and retried (``workers > 1`` only).
         backoff_base: base seconds of the deterministic exponential
             backoff before each same-seed retry (0 disables; the
             :data:`BACKOFF_ENV` environment variable overrides).
@@ -514,6 +512,8 @@ class Checkpoint:
         self._dirty = 0
         if os.path.exists(path):
             self._load(path)
+        #: Results read back from disk — a supervisor's resumed count.
+        self.loaded = len(self.results)
 
     # -- loading & quarantine -------------------------------------------
 
@@ -667,7 +667,7 @@ class Checkpoint:
         return len(checkpoint.results)
 
 
-#: The policy of a policy-free process-backend map: one attempt, no
+#: The policy of a policy-free multi-worker map: one attempt, no
 #: checkpoint; the first failure raises :class:`TrialExecutionError`.
 _FAIL_FAST = FaultTolerance(retries=0)
 
@@ -721,25 +721,15 @@ class TrialExecutor:
     """Maps picklable tasks over trial indices, serially or in workers.
 
     Attributes:
-        workers: resolved worker count.
-        backend: ``"serial"`` or ``"process"``.
+        workers: resolved worker count; more than one runs trials in
+            supervised worker processes, one runs them in-process.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        if backend is None:
-            backend = "process" if self.workers > 1 else "serial"
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
-        self.backend = backend
         #: The Checkpoint of the most recent fault-tolerant map (None
-        #: otherwise) — supervisors read quarantine/write-error state.
+        #: otherwise) — supervisors read resume, quarantine and
+        #: write-error state off it.
         self.last_checkpoint: Optional[Checkpoint] = None
 
     def map_trials(
@@ -756,7 +746,7 @@ class TrialExecutor:
             task: a picklable callable — a module-level function,
                 ``functools.partial`` of one, or an instance of a
                 module-level class defining ``__call__``.  Its return
-                value must be picklable on the process backend.
+                value must be picklable when ``workers > 1``.
             fault_tolerance: optional policy adding per-trial timeout,
                 retry, crash isolation and checkpoint/resume.  With a
                 policy active, trials that exhaust their retries yield
@@ -766,7 +756,7 @@ class TrialExecutor:
 
         Returns:
             The task results, ordered like the input indices regardless
-            of backend or worker count.
+            of worker count.
         """
         indices = (
             list(range(trials)) if isinstance(trials, int) else list(trials)
@@ -776,7 +766,7 @@ class TrialExecutor:
         if fault_tolerance is not None:
             return self._map_fault_tolerant(indices, task, fault_tolerance)
         workers = min(self.workers, len(indices))
-        if self.backend == "serial" or workers <= 1:
+        if workers <= 1:
             wrapped = _IndexedTask(task)
             return [wrapped(index) for index in indices]
         results: Dict[int, Any] = {}
@@ -802,8 +792,6 @@ class TrialExecutor:
             )
             if policy.checkpoint_path else None
         )
-        #: Exposed for supervisors (the campaign engine reads quarantine
-        #: and write-degradation state off it for the failure manifest).
         self.last_checkpoint = checkpoint
         results: Dict[int, Any] = {}
         if checkpoint is not None:
@@ -815,7 +803,7 @@ class TrialExecutor:
         pending = [index for index in indices if index not in results]
         workers = min(self.workers, len(pending)) if pending else 0
         if pending:
-            if self.backend == "serial" or workers <= 1:
+            if workers <= 1:
                 self._run_serial_tolerant(
                     pending, task, policy, results, checkpoint, started
                 )
@@ -843,8 +831,8 @@ class TrialExecutor:
     ) -> None:
         """In-process fallback: retries and checkpointing, no preemption.
 
-        ``timeout`` and ``heartbeat_timeout`` cannot preempt a trial on
-        this backend; ``deadline`` is honoured between trials and
+        ``timeout`` and ``heartbeat_timeout`` cannot preempt a trial
+        in-process; ``deadline`` is honoured between trials and
         between retries.
         """
         deadline_at = (
@@ -1093,9 +1081,7 @@ class TrialExecutor:
             )
 
     def __repr__(self) -> str:
-        return (
-            f"TrialExecutor(workers={self.workers}, backend={self.backend!r})"
-        )
+        return f"TrialExecutor(workers={self.workers})"
 
 
 def map_trials(

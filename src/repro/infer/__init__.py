@@ -17,8 +17,10 @@ This package builds both sides of that arms race:
   byte/latency overhead accounting;
 * :mod:`repro.infer.dataset` — the seeded observation model gluing the
   zipf page population to features under each defense level;
-* :mod:`repro.infer.campaign` — the frontier-at-scale mode on the
-  campaign executor (shards, checkpoints, kill-resume).
+* :mod:`repro.infer.campaign` — the frontier-at-scale mode, which runs
+  on the shared sharded-job runner
+  (:func:`repro.campaign.supervisor.run_sharded`: shards, sealed
+  checkpoints with quarantine, kill-resume).
 
 Everything is integer/fixed-point end to end, so results are
 bit-identical across worker counts, backends and kill-resume — the same

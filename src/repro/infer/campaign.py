@@ -1,40 +1,31 @@
-"""Frontier-at-scale: the inference study on the campaign executor.
+"""Frontier-at-scale: the inference study on the shared sharded-job runner.
 
 ``repro infer`` evaluates the accuracy/overhead frontier over many
-zipf page-population sessions using the same shard → worker → session
-machinery as :mod:`repro.campaign.engine`: picklable shard tasks on
-:class:`~repro.experiments.executor.TrialExecutor`, integer summary
-folds that merge exactly at any split, config-digest-sealed shard
-checkpoints, and deterministic same-seed retries — so a SIGKILLed run
+zipf page-population sessions.  It runs on the shared sharded-job
+runner (:func:`repro.campaign.supervisor.run_sharded`), like
+``repro campaign``: picklable shard tasks on the trial executor,
+integer summary folds that merge exactly at any split,
+config-digest-sealed shard checkpoints with quarantine of corrupt
+files, and deterministic same-seed retries — so a SIGKILLed run
 resumes to a bit-identical frontier (the ``infer-smoke`` CI job pins
 that end to end).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.executor import (
-    FaultTolerance,
-    TrialError,
-    TrialExecutor,
-    heartbeat,
-)
+from repro.campaign.supervisor import ShardPlan, run_sharded
+from repro.experiments.executor import heartbeat
 from repro.infer.classifiers import classifier_names
 from repro.infer.dataset import StudyDesign, evaluate_session
 from repro.infer.defenses import defense_level, defense_level_names
 from repro.infer.summary import FORMAT, InferSummary
 
-#: Matches the campaign engine's deterministic retry backoff
-#: (``REPRO_BACKOFF`` overrides; tests/CI set 0).
-DEFAULT_BACKOFF_BASE = 0.05
-
 
 @dataclass(frozen=True)
-class InferCampaignConfig:
+class InferCampaignConfig(ShardPlan):
     """Parameters of one at-scale frontier run.
 
     Attributes:
@@ -54,19 +45,12 @@ class InferCampaignConfig:
     levels: tuple = defense_level_names()
     classifiers: tuple = classifier_names()
 
+    kind = "infer"
+
     def __post_init__(self) -> None:
-        if self.sessions < 1 or self.shard_size < 1:
-            raise ValueError("sessions and shard_size must be positive")
+        super().__post_init__()
         for name in self.levels:
             defense_level(name)
-
-    @property
-    def shard_count(self) -> int:
-        return -(-self.sessions // self.shard_size)
-
-    def shard_range(self, shard: int) -> range:
-        start = shard * self.shard_size
-        return range(start, min(start + self.shard_size, self.sessions))
 
     def design(self) -> StudyDesign:
         return StudyDesign(
@@ -76,10 +60,6 @@ class InferCampaignConfig:
             levels=tuple(self.levels),
             classifiers=tuple(self.classifiers),
         )
-
-    def digest(self) -> str:
-        """Short config identity (seals checkpoints, like the campaign)."""
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -98,17 +78,6 @@ class InferShardTask:
         return summary.to_json()
 
 
-class InferCampaignError(RuntimeError):
-    """A shard exhausted its retries; the frontier would be wrong."""
-
-    def __init__(self, errors: List[TrialError]) -> None:
-        shards = ", ".join(str(error.trial) for error in errors)
-        super().__init__(
-            f"{len(errors)} infer shard(s) failed after retries: {shards}"
-        )
-        self.errors = errors
-
-
 @dataclass
 class InferCampaignResult:
     """Merged frontier plus run metadata."""
@@ -118,7 +87,8 @@ class InferCampaignResult:
     shards: int
     workers: int
     resumed_shards: int = 0
-    errors: List[TrialError] = field(default_factory=list)
+    #: Checkpoint files quarantined on resume (``.corrupt`` sidecars).
+    quarantined: List[str] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, Any]:
         # Worker count and resume history are deliberately excluded:
@@ -146,11 +116,6 @@ class InferCampaignResult:
         )
 
 
-def checkpoint_path(config: InferCampaignConfig, checkpoint_dir: str) -> str:
-    """The run's shard-checkpoint file (config-digest-derived name)."""
-    return os.path.join(checkpoint_dir, f"infer-{config.digest()}.json")
-
-
 def run_infer_campaign(
     config: InferCampaignConfig,
     workers: Optional[int] = None,
@@ -160,43 +125,23 @@ def run_infer_campaign(
     """Run (or resume) the frontier at scale and merge its shards.
 
     Raises:
-        InferCampaignError: when a shard exhausted its retries.
+        CampaignError: when a shard exhausted its retries.
     """
-    executor = TrialExecutor(workers=workers)
-    task = InferShardTask(config)
-    fault_tolerance = None
-    resumed = 0
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        path = checkpoint_path(config, checkpoint_dir)
-        if os.path.exists(path):
-            from repro.experiments.executor import Checkpoint
-
-            resumed = len(Checkpoint(path, config_digest=config.digest()))
-        fault_tolerance = FaultTolerance(
-            retries=retries,
-            checkpoint_path=path,
-            checkpoint_every=1,
-            checkpoint_digest=config.digest(),
-            backoff_base=DEFAULT_BACKOFF_BASE,
-            backoff_seed=config.digest(),
-        )
-    outcomes = executor.map_trials(
-        config.shard_count, task, fault_tolerance=fault_tolerance
+    run = run_sharded(
+        config, InferShardTask(config),
+        workers=workers, checkpoint_dir=checkpoint_dir, retries=retries,
     )
-    errors = [item for item in outcomes if isinstance(item, TrialError)]
-    if errors:
-        raise InferCampaignError(errors)
     design = config.design()
     summary = InferSummary(design.levels, design.classifiers)
-    # map_trials returns in shard order: the left fold below is the
+    # Payloads come in shard order: the left fold below is the
     # canonical merge order at any worker count.
-    for payload in outcomes:
+    for payload in run.payloads:
         summary.merge(InferSummary.from_json(payload))
     return InferCampaignResult(
         config=config,
         summary=summary,
         shards=config.shard_count,
-        workers=executor.workers,
-        resumed_shards=resumed,
+        workers=run.workers,
+        resumed_shards=run.resumed_shards,
+        quarantined=run.quarantined,
     )

@@ -14,6 +14,8 @@ Two layers:
 import pytest
 
 from repro import cli
+from repro.infer import campaign as infer_campaign
+from repro.infer.campaign import InferShardTask
 
 BAD_COMBOS = [
     (["table1", "--trial", "3"], "--trial"),
@@ -179,6 +181,27 @@ def test_infer_campaign_smoke(capsys, tmp_path):
     assert payload["sessions"] == 4
     assert payload["format"] == "repro.infer.frontier/v1"
     assert payload["summary_digest"]
+
+
+class _ExplodingInferShardTask(InferShardTask):
+    def __call__(self, shard):
+        raise RuntimeError("shard exploded")
+
+
+def test_infer_failed_shards_exit_1_with_error_table(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(infer_campaign, "InferShardTask",
+                        _ExplodingInferShardTask)
+    code = cli.main(["infer", "--sessions", "4", "--shard-size", "2",
+                     "--workers", "1", "--reps", "2", "--max-objects", "4",
+                     "--checkpoint-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Campaign shard failures (2)" in captured.err
+    assert "shard exploded" in captured.err
+    assert "2 shard(s) failed after retries: 0, 1" in captured.err
 
 
 def test_infer_unknown_defense_exits_2(capsys):

@@ -8,18 +8,21 @@ beats the exact-match baseline; and the defense ladder's byte overhead
 is monotone in the actual study output.
 """
 
+import dataclasses
 import json
 import os
 import pickle
 
 import pytest
 
+from repro.campaign import CampaignError, checkpoint_path
+from repro.chaos.inject import corrupt_byte, truncate_bytes
 from repro.experiments import infer_study
+from repro.experiments.executor import Checkpoint
+from repro.infer import campaign as infer_campaign
 from repro.infer.campaign import (
     InferCampaignConfig,
-    InferCampaignError,
     InferShardTask,
-    checkpoint_path,
     run_infer_campaign,
 )
 from repro.infer.dataset import StudyDesign, evaluate_session
@@ -143,8 +146,6 @@ def test_campaign_matches_study_on_same_sessions():
 
 def test_campaign_is_shard_size_invariant():
     by_two = run_infer_campaign(CAMPAIGN, workers=2)
-    import dataclasses
-
     by_five = run_infer_campaign(
         dataclasses.replace(CAMPAIGN, shard_size=5), workers=1
     )
@@ -168,29 +169,53 @@ def test_campaign_checkpoint_resume_is_bit_identical(tmp_path):
     assert resumed.render() == fresh.render()
 
 
-def test_campaign_failure_raises_with_shard_names(tmp_path):
-    class Boom(InferShardTask):
-        def __call__(self, shard):
-            raise RuntimeError("shard exploded")
-
-    from repro.experiments.executor import FaultTolerance, TrialExecutor
-
-    executor = TrialExecutor(workers=1)
-    outcomes = executor.map_trials(
-        2, Boom(CAMPAIGN),
-        fault_tolerance=FaultTolerance(retries=0),
+@pytest.mark.parametrize("damage", [corrupt_byte, truncate_bytes])
+def test_campaign_quarantines_a_damaged_checkpoint(tmp_path, damage):
+    fresh = run_infer_campaign(CAMPAIGN, workers=1)
+    run_infer_campaign(CAMPAIGN, workers=1, checkpoint_dir=str(tmp_path))
+    path = checkpoint_path(CAMPAIGN, str(tmp_path))
+    damage(path)
+    result = run_infer_campaign(
+        CAMPAIGN, workers=1, checkpoint_dir=str(tmp_path)
     )
-    from repro.experiments.executor import TrialError
+    assert result.summary.digest() == fresh.summary.digest()
+    assert result.quarantined == [path + ".corrupt"]
+    assert result.resumed_shards == 0
 
-    errors = [item for item in outcomes if isinstance(item, TrialError)]
-    assert errors
-    with pytest.raises(InferCampaignError, match="after retries"):
-        raise InferCampaignError(errors)
+
+#: The shard the failing task below refuses to compute.
+FAILING_SHARD = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class _FailingShardTask(InferShardTask):
+    def __call__(self, shard):
+        if shard == FAILING_SHARD:
+            raise RuntimeError("shard exploded")
+        return super().__call__(shard)
+
+
+def test_campaign_failure_raises_with_shard_names(tmp_path, monkeypatch):
+    monkeypatch.setattr(infer_campaign, "InferShardTask", _FailingShardTask)
+    for workers in (1, 2):
+        directory = str(tmp_path / f"workers-{workers}")
+        with pytest.raises(CampaignError, match="after retries") as excinfo:
+            run_infer_campaign(
+                CAMPAIGN, workers=workers, checkpoint_dir=directory
+            )
+        assert [e.trial for e in excinfo.value.errors] == [FAILING_SHARD]
+        assert f"failed after retries: {FAILING_SHARD}" in str(excinfo.value)
+        checkpoint = Checkpoint(
+            checkpoint_path(CAMPAIGN, directory),
+            config_digest=CAMPAIGN.digest(),
+        )
+        assert sorted(checkpoint.results) == [
+            shard for shard in range(CAMPAIGN.shard_count)
+            if shard != FAILING_SHARD
+        ]
 
 
 def test_campaign_config_digest_tracks_parameters():
-    import dataclasses
-
     assert CAMPAIGN.digest() != dataclasses.replace(
         CAMPAIGN, seed=CAMPAIGN.seed + 1
     ).digest()
